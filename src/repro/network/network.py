@@ -3,13 +3,14 @@
 The cycle loop is *active-set* driven: routers and NIs register for wakeup
 when they gain work (packet arrival, credit-bearing injection, event-wheel
 deliveries, scheme lane launches, non-empty ``pending``/``inj``/``ej``
-queues) and :meth:`Network.step` iterates only the active components — in
-ascending-id order, so results are bit-identical to the naive
-all-components loop (kept available as ``force_naive_step`` and proven
-equivalent by the differential property tests).  Occupancy introspection
-(:meth:`packets_in_flight`, :meth:`total_backlog`) reads incrementally
-maintained counters instead of rescanning every VC slot; the ``paranoia``
-audit cross-checks the counters against a full rescan.
+queues, a processor model's next service cycle) and :meth:`Network.step`
+iterates only the active components — in ascending-id order, so results
+are bit-identical to the naive all-components loop (kept available as
+``force_naive_step`` and proven equivalent by the differential property
+tests).  Occupancy introspection (:meth:`packets_in_flight`,
+:meth:`total_backlog`) reads incrementally maintained counters instead of
+rescanning every VC slot; the ``paranoia`` audit cross-checks the
+counters against a full rescan.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class Network:
     2. scheduled events (FastFlow arrivals, MSHR regenerations, ...),
     3. NI injection (inject-active NIs, ascending id),
     4. router switch allocation (active routers, ascending id),
-    5. NI consumption (consume-active NIs / processor models),
+    5. NI consumption (consume-active NIs, past their ``_con_skip``),
     6. scheme ``post_cycle`` hook and the watchdog.
 
     Scheme hooks run on the cadence the scheme declares via
@@ -102,7 +103,6 @@ class Network:
         self._r_active: set[int] = set()
         self._inj_active: set[int] = set()
         self._con_active: set[int] = set()
-        self._has_consumers = False
         #: sorted worklist during the router phase (mid-phase wakeups with
         #: a higher id than the router being stepped are inserted so they
         #: still run this cycle, exactly like the naive sweep)
@@ -209,11 +209,7 @@ class Network:
 
     def wake_consume(self, rid: int) -> None:
         self._con_active.add(rid)
-
-    def note_consumer(self) -> None:
-        """An NI gained a processor/LLC model: consumers may emit work with
-        empty ejection queues, so the consume phase visits every NI."""
-        self._has_consumers = True
+        self.nis[rid]._con_skip = 0
 
     def active_routers(self) -> list:
         """Routers that currently hold packets, ascending id — every
@@ -272,13 +268,12 @@ class Network:
                         router.step(now)
                     i += 1
                 self._stepping = None
-        if self._has_consumers:
-            for ni in self.nis:
-                ni.consume_step(now)
-        elif self._con_active:
+        if self._con_active:
             nis = self.nis
             for nid in sorted(self._con_active):
-                nis[nid].consume_step(now)
+                ni = nis[nid]
+                if now >= ni._con_skip:
+                    ni.consume_step(now)
         post = self._post_every
         if post and (post == 1 or now % post == 0):
             self.scheme.post_cycle(self, now)

@@ -9,9 +9,11 @@ local MSHR after a small delay).
 
 Each NI participates in the network's active sets: it is inject-active
 while ``pending`` or any ``inj`` queue is non-empty, and consume-active
-while any ``ej`` queue is non-empty (NIs with an attached processor model
-are always visited in the consume phase — see
-:meth:`repro.network.network.Network.note_consumer`).  The queue
+while any ``ej`` queue is non-empty or its attached processor model still
+has work.  A processor model reports, from each visit, the next cycle it
+needs one (the consumer protocol, see :meth:`NetworkInterface.consume_step`
+and :mod:`repro.traffic.coherence`), so a node thinking or waiting on its
+LLC service latency is skipped exactly like an idle router.  The queue
 occupancies feed the network-wide incremental counters (``pending_total``,
 ``inj_total``, ``limbo``), so every enqueue/dequeue below is paired with a
 counter update.
@@ -22,6 +24,9 @@ from __future__ import annotations
 from collections import deque
 
 from repro.network.packet import N_CLASSES, MessageClass
+
+#: a consumer's "no visit needed until something is ejected" answer
+SLEEP = 1 << 60
 
 
 class EjectionQueue:
@@ -88,6 +93,11 @@ class NetworkInterface:
         #: (:meth:`repro.network.network.Network.wake_inject`).
         self._inj_skip = 0
         self._inj_rr = 0
+        #: active-engine consume skip bound, the twin of ``_inj_skip``:
+        #: the attached processor model declared nothing to do before
+        #: this cycle.  Reset whenever an ejection queue fills
+        #: (:meth:`repro.network.network.Network.wake_consume`).
+        self._con_skip = 0
         self.consumer = None   # set by the traffic model
         # Statistics of the dynamic-bubble mechanism.
         self.dropped = 0
@@ -101,7 +111,7 @@ class NetworkInterface:
     def consumer(self, value) -> None:
         self._consumer = value
         if value is not None:
-            self.net.note_consumer()
+            self.net.wake_consume(self.id)
 
     # -- generation ------------------------------------------------------
     def source(self, pkt) -> None:
@@ -225,13 +235,27 @@ class NetworkInterface:
     def consume_step(self, now: int) -> None:
         """Let the attached processor/LLC model drain the ejection queues.
 
+        With a consumer, ``consumer.consume(ni, now)`` returns the next
+        cycle it needs a visit if nothing new is ejected: the active
+        engine skips this NI until then (``_con_skip``), and ``1 << 60``
+        takes it out of the consume active set.  ``None`` means "visit
+        next cycle".  Every skipped visit must be a no-op — any ejection
+        wakes the NI again — which is what keeps the naive loop, still
+        calling this every cycle, an exact oracle.
+
         Without a consumer (pure synthetic traffic), up to ``CONSUME_RATE``
         packets are retired per cycle, round-robin over the classes —
         ejected packets are consumed almost immediately (as the paper
         observes) but not instantaneously.
         """
-        if self._consumer is not None:
-            self._consumer.consume(self, now)
+        consumer = self._consumer
+        if consumer is not None:
+            nxt = consumer.consume(self, now)
+            if nxt is not None:
+                if nxt >= SLEEP:
+                    self.net._con_active.discard(self.id)
+                else:
+                    self._con_skip = nxt
             return
         budget = self.CONSUME_RATE
         ej = self.ej

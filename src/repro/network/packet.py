@@ -30,19 +30,21 @@ SINK_CLASSES = frozenset(
     {MessageClass.RESPONSE, MessageClass.UNBLOCK, MessageClass.DMA}
 )
 
-_CLASS_FLITS = {
-    MessageClass.REQUEST: 1,
-    MessageClass.RESPONSE: 5,
-    MessageClass.FORWARD: 1,
-    MessageClass.WRITEBACK: 5,
-    MessageClass.UNBLOCK: 1,
-    MessageClass.DMA: 5,
-}
+#: flits per class, indexed by class value: 1-flit control messages,
+#: 5-flit data (REQUEST, RESPONSE, FORWARD, WRITEBACK, UNBLOCK, DMA)
+_CLASS_FLITS = (1, 5, 1, 5, 1, 5)
 
 
 def flits_for_class(mclass: int) -> int:
-    """Packet size in flits for a message class (128-bit flits, 64B data)."""
-    return _CLASS_FLITS[MessageClass(mclass)]
+    """Packet size in flits for a message class (128-bit flits, 64B data).
+
+    Runs once per :class:`Packet` built, so it indexes a tuple instead of
+    calling ``MessageClass(mclass)``; the explicit range check keeps the
+    enum's ``ValueError`` for out-of-range classes (a bare index would
+    accept ``-1``)."""
+    if not 0 <= mclass < N_CLASSES:
+        raise ValueError(f"{mclass!r} is not a valid MessageClass")
+    return _CLASS_FLITS[mclass]
 
 
 class Packet:

@@ -433,7 +433,8 @@ class Router:
         # Inlined EjectionQueue.can_accept + NI.eject: ejection rides on
         # every delivered packet, so the queue operations are open-coded;
         # the 'ejected' event below keeps observability in sync.
-        q = self._ni.ej[pkt.mclass]
+        ni = self._ni
+        q = ni.ej[pkt.mclass]
         res = q.reservations
         if pkt.pid in res:
             if len(q.q) >= q.cap:
@@ -451,6 +452,7 @@ class Router:
         pkt.eject_cycle = now + 1
         q.q.append(pkt)
         net._con_active.add(self.id)
+        ni._con_skip = 0
         net.stats.record_ejected(pkt)
         net.last_progress = now
         obs = net.obs

@@ -32,7 +32,10 @@ def check_invariants(net) -> None:
        full rescan of the slots and queues;
     8. active-set coverage: every component that holds work is registered
        in the corresponding active set (a router/NI missing from its set
-       would silently never be stepped by the active engine);
+       would silently never be stepped by the active engine); an NI with
+       a packet in an ejection queue must also have no consume skip
+       pending past the next cycle (``_con_skip``), since a processor
+       model may only sleep on its own service timers;
     9. parking: a parked router still holds packets, every head blocked on
        its own timers really is blocked until at least the wake cycle, and
        the wake cycle is in the future — a violation means some code path
@@ -101,11 +104,17 @@ def check_invariants(net) -> None:
             raise InvariantViolation(
                 f"NI {ni.id} has injection work but is not in the "
                 f"inject active set")
-        if (not net._has_consumers and ni.id not in net._con_active
-                and any(len(q) for q in ni.ej)):
-            raise InvariantViolation(
-                f"NI {ni.id} has packets to consume but is not in the "
-                f"consume active set")
+        if any(len(q) for q in ni.ej):
+            if ni.id not in net._con_active:
+                raise InvariantViolation(
+                    f"NI {ni.id} has packets to consume but is not in the "
+                    f"consume active set")
+            # ``now`` is the cycle just run (tail audit) or the next one
+            # (audit between steps), so a skip up to now+1 still visits.
+            if ni._con_skip > now + 1:
+                raise InvariantViolation(
+                    f"NI {ni.id} has packets to consume but skips consume "
+                    f"until cycle {ni._con_skip}")
     if inj_scan != net.inj_total:
         raise InvariantViolation(
             f"inj_total counter drift: counter={net.inj_total} "

@@ -29,7 +29,7 @@ the price of one.
 
 On top of that, the batch scheduler extends the PR-2 parking contract
 from routers to whole replicas: a replica that is provably idle — no
-packet anywhere, no scheduled event, no consumer models, and a traffic
+packet anywhere, no scheduled event, no consumer work, and a traffic
 source whose next injection (known from the cross-replica
 :class:`~repro.sim.batch.traffic.TrafficMatrix`) is cycles away — is
 fast-forwarded to its next event with a closed-form replay of the
@@ -53,14 +53,15 @@ _FAR = 1 << 60
 
 def _quiet(net) -> bool:
     """True when a replica's network provably does nothing on its own:
-    every occupancy counter is zero, no component is active, no event is
+    every occupancy counter is zero, no component is active (a consumer
+    model with pending work keeps its NI consume-active), no event is
     scheduled, and nothing (fault injector, observability, auditor,
-    paranoia audit, consumer models, DRAIN suspension) runs per-cycle
-    side effects the fast-forward replay does not model."""
+    paranoia audit, DRAIN suspension) runs per-cycle side effects the
+    fast-forward replay does not model."""
     return not (net.buffered or net.in_transit or net.inj_total
                 or net.pending_total or net.limbo
                 or net._r_active or net._inj_active or net._con_active
-                or net._has_consumers or net._events
+                or net._events
                 or net.suspended or net.force_naive_step
                 or net.faults is not None or net.obs is not None
                 or net.auditor is not None or net.cfg.paranoia)

@@ -431,13 +431,12 @@ class SoAKernel:
     def finish_cycle(self, now: int) -> None:
         """The post-switch phases: consumption, post-hook, step tail."""
         net = self.net
-        if net._has_consumers:
-            for ni in net.nis:
-                ni.consume_step(now)
-        elif net._con_active:
+        if net._con_active:
             nis = net.nis
             for nid in sorted(net._con_active):
-                nis[nid].consume_step(now)
+                ni = nis[nid]
+                if now >= ni._con_skip:
+                    ni.consume_step(now)
         post = net._post_every
         if post and (post == 1 or now % post == 0):
             net.scheme.post_cycle(net, now)

@@ -18,6 +18,26 @@ Because the service queue is bounded and responses compete with requests
 for network resources, a 0-VN network with no escape mechanism exhibits
 genuine protocol-level deadlock under this model — the behaviour FastPass
 and Pitstop must (and do) resolve.
+
+**Consumer protocol.**  A :class:`NodeModel` is attached to its NI as
+``ni.consumer`` and implements two calls:
+
+* ``on_local(ni, pkt)`` — a message whose source is its destination; it
+  never enters the network but still drives the protocol;
+* ``consume(ni, now) -> int | None`` — drain the ejection queues and run
+  the LLC service.  The return value is the next cycle the model needs a
+  visit if nothing new is ejected: ``now + 1`` while an ejection queue
+  still holds a packet, the head service entry's ready cycle while one is
+  queued, and :data:`~repro.network.ni.SLEEP` when the node has nothing
+  left to serve (``None`` means "visit next cycle").
+
+The active engine skips every visit before that cycle, so a visit it
+skips must be a no-op: no RNG draw and no state change.  Every path
+that creates consume work — an ejection into any ``ej`` queue and
+``on_local`` queueing a service entry — wakes the NI
+(:meth:`repro.network.network.Network.wake_consume`).  The issue side
+is symmetric: :meth:`CoherenceTraffic.generate` calls ``issue_step``
+only for cores that pass its own loop guard.
 """
 
 from __future__ import annotations
@@ -26,6 +46,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.network.ni import SLEEP
 from repro.network.packet import MessageClass, Packet
 
 
@@ -106,8 +127,9 @@ class NodeModel:
             # Local hits bypass the bounded service queue (no NoC involved).
             self.service.append((pkt.eject_cycle +
                                  self.traffic.params["service_latency"], pkt))
+            ni.net.wake_consume(ni.id)
 
-    def consume(self, ni, now: int) -> None:
+    def consume(self, ni, now: int) -> int:
         tr = self.traffic
         p = tr.params
         net = ni.net
@@ -148,6 +170,15 @@ class NodeModel:
                 tr.measured_generated += 1
             self.service.popleft()
             ni.source(out)
+        # 4. Next visit.  Requests/forwards left in the ejection queues
+        # (service queue full) are re-checked next cycle; otherwise only
+        # the head service entry can make a visit do anything.
+        for cls in (MessageClass.REQUEST, MessageClass.FORWARD):
+            if ni.ej[cls].q:
+                return now + 1
+        if self.service:
+            return self.service[0][0]
+        return SLEEP
 
 
 class CoherenceTraffic:
@@ -221,8 +252,15 @@ class CoherenceTraffic:
 
     # ------------------------------------------------------------------
     def generate(self, net, now: int) -> None:
+        # ``issue_step``'s own loop guard, hoisted: a core that fails it
+        # draws no random number and changes nothing, so skipping the
+        # call is exact.
+        mshrs = self.params["mshrs"]
+        txns = self.txns_per_core
         for node in self.nodes:
-            node.issue_step(net, now)
+            if (node.next_issue <= now and node.outstanding < mshrs
+                    and node.issued < txns):
+                node.issue_step(net, now)
 
     def done(self) -> bool:
         return self.completed >= self.txns_per_core * len(self.nodes)

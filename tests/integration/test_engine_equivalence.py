@@ -258,3 +258,83 @@ def test_soa_kernel_fast_paths_engage():
     assert k.inject_skips > 0, "injection screen never engaged"
     assert k.materialized < k.cycles * sim.net.mesh.n_routers, \
         "every router materialised every cycle — the screen is dead"
+
+
+# -- Closed-loop (coherence) differentials --------------------------------
+#
+# Application runs attach a processor/LLC model to every NI.  The active
+# engine visits a consumer NI only while it has an ejected packet or a
+# due service entry, and the SoA kernel shares that rule; the naive loop
+# still visits every NI every cycle.  Every skipped visit must therefore
+# be a no-op — any mismatch here means a path that creates consume work
+# forgot to wake its NI.  ``paranoia=1`` audits the consume active set
+# (no NI with an ejected packet may be asleep) after every cycle.
+
+from repro.campaign.worker import execute_point  # noqa: E402
+from repro.experiments.common import FIG10_SCHEMES, app_config  # noqa: E402
+from repro.experiments.table1 import deadlock_scenario_config  # noqa: E402
+from repro.sim.parallel import Point  # noqa: E402
+
+APP_TXNS = 20
+
+
+def _run_app(name, kwargs, bench, engine):
+    point = Point.make_app(name, bench, txns=APP_TXNS, seed=3, **kwargs)
+    cfg = app_config(quick=True).with_(paranoia=1, engine=engine)
+    return execute_point(point, cfg)
+
+
+def _assert_app_complete(res, label):
+    assert not res.deadlocked, f"{label}: deadlocked"
+    assert res.extra["completed"] == res.extra["total"] == 16 * APP_TXNS, \
+        f"{label}: {res.extra['completed']}/{res.extra['total']} txns"
+
+
+@pytest.mark.parametrize("bench", ["Canneal", "FFT"])
+@pytest.mark.parametrize("label,name,kwargs", FIG10_SCHEMES,
+                         ids=[s[0] for s in FIG10_SCHEMES])
+def test_closed_loop_active_matches_naive(label, name, kwargs, bench):
+    act = _run_app(name, kwargs, bench, "active")
+    naive = _run_app(name, kwargs, bench, "naive")
+    assert act.engine_used == "active" and naive.engine_used == "naive"
+    tag = f"{label}/{bench}"
+    assert_results_equal(act, naive, tag)
+    _assert_app_complete(act, tag)
+    assert naive.extra["completed"] == act.extra["completed"]
+
+
+@pytest.mark.parametrize("bench", ["Canneal", "FFT"])
+@pytest.mark.parametrize("name,kwargs", [
+    ("fastpass", {"n_vcs": 2}), ("fastpass", {"n_vcs": 4}),
+    ("escapevc", {})], ids=["fastpass-vc2", "fastpass-vc4", "escapevc"])
+def test_closed_loop_soa_matches_active(name, kwargs, bench):
+    soa = _run_app(name, kwargs, bench, "soa")
+    act = _run_app(name, kwargs, bench, "active")
+    assert soa.engine_used == "soa"
+    tag = f"{name}{kwargs}/{bench}"
+    assert_results_equal(soa, act, f"{tag} soa vs active")
+    _assert_app_complete(soa, tag)
+
+
+@pytest.mark.parametrize("name,kwargs,completes", [
+    ("fastpass", {"n_vcs": 2}, True),
+    ("pitstop", {}, True),
+    ("baseline", {"n_vns": 1, "n_vcs": 2}, False),
+], ids=["fastpass", "pitstop", "baseline-deadlocks"])
+def test_stress_probe_matches_across_engines(name, kwargs, completes):
+    """Table I's protocol-pressure probe (``service_depth=1``, one-entry
+    ejection queues): requests back up in full ejection queues behind
+    a busy LLC slice, and the unprotected baseline wedges until the
+    watchdog fires — both paths must agree across all engines."""
+    point = Point.make_stress(name, **kwargs)
+    cfg = deadlock_scenario_config().with_(paranoia=1)
+    res = {eng: execute_point(point, cfg.with_(engine=eng))
+           for eng in ("active", "naive", "soa")}
+    assert res["naive"].engine_used == "naive"
+    assert_results_equal(res["active"], res["naive"], f"{name} stress")
+    assert_results_equal(res["soa"], res["active"], f"{name} stress soa")
+    act = res["active"]
+    assert act.extra["traffic_done"] is completes
+    assert act.deadlocked is not completes
+    for r in res.values():
+        assert r.extra["completed"] == act.extra["completed"]

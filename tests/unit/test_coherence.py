@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import SimConfig
-from repro.network.packet import MessageClass
+from repro.network.ni import SLEEP
+from repro.network.packet import MessageClass, Packet
 from repro.sim.engine import Simulation
 from repro.schemes import get_scheme
 from repro.traffic.coherence import CoherenceTraffic
@@ -52,6 +53,48 @@ class TestTransactions:
     def test_no_forwards_when_disabled(self):
         sim, _ = run_coherence(txns=10, fwd_frac=0.0)
         assert sim.net.stats.per_class_ejected[MessageClass.FORWARD] == 0
+
+
+class TestConsumerProtocol:
+    """``NodeModel.consume`` returns the next cycle its NI needs a visit;
+    the active engine skips the NI until then (see the module doc)."""
+
+    @staticmethod
+    def _node(**params):
+        cfg = SimConfig(rows=4, cols=4, fastpass_slot_cycles=64)
+        traffic = CoherenceTraffic(txns_per_core=1, seed=3, **params)
+        sim = Simulation(cfg, get_scheme("escapevc"), traffic)
+        return sim.net, traffic.nodes[5], sim.net.nis[5]
+
+    def test_idle_node_sleeps(self):
+        _net, node, ni = self._node()
+        assert node.consume(ni, 0) == SLEEP
+
+    def test_waits_for_head_service_entry(self):
+        _net, node, ni = self._node(service_latency=20)
+        pkt = Packet(2, 5, MessageClass.REQUEST, 0)
+        ni.ej[pkt.mclass].q.append(pkt)
+        assert node.consume(ni, 10) == 30
+        assert len(node.service) == 1 and not ni.ej[pkt.mclass].q
+
+    def test_blocked_request_is_revisited_next_cycle(self):
+        _net, node, ni = self._node(service_depth=1, service_latency=20)
+        for src in (2, 3):
+            ni.ej[MessageClass.REQUEST].q.append(
+                Packet(src, 5, MessageClass.REQUEST, 0))
+        assert node.consume(ni, 10) == 11
+        assert len(ni.ej[MessageClass.REQUEST].q) == 1
+
+    def test_local_request_wakes_sleeping_node(self):
+        net, node, ni = self._node()
+        net._con_active.discard(5)
+        ni._con_skip = SLEEP
+        pkt = Packet(5, 5, MessageClass.REQUEST, 0)
+        pkt.eject_cycle = 1
+        node.on_local(ni, pkt)
+        assert 5 in net._con_active and ni._con_skip == 0
+        assert node.consume(ni, 1) == 1 + node.traffic.params[
+            "service_latency"]
 
 
 class TestAddressDistribution:

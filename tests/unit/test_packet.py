@@ -28,6 +28,24 @@ class TestMessageClasses:
         assert flits_for_class(MessageClass.WRITEBACK) == 5
         assert flits_for_class(MessageClass.UNBLOCK) == 1
 
+    def test_flit_sizes_cover_every_class(self):
+        sizes = {cls: flits_for_class(cls) for cls in MessageClass}
+        assert sizes == {MessageClass.REQUEST: 1, MessageClass.RESPONSE: 5,
+                         MessageClass.FORWARD: 1, MessageClass.WRITEBACK: 5,
+                         MessageClass.UNBLOCK: 1, MessageClass.DMA: 5}
+        assert flits_for_class(2) == 1 and flits_for_class(5) == 5
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_range_class_rejected(self, bad):
+        # The enum itself rejects these; flits_for_class (a tuple index)
+        # must too — ``-1`` would otherwise silently read the DMA size.
+        with pytest.raises(ValueError):
+            MessageClass(bad)
+        with pytest.raises(ValueError):
+            flits_for_class(bad)
+        with pytest.raises(ValueError):
+            Packet(0, 1, bad, 0)
+
 
 class TestPacket:
     def test_defaults(self):
